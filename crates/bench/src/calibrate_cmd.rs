@@ -187,7 +187,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let top = top_k(&result.records, options.top_k);
     let optima = per_axis_optima(&space, &result.records);
 
-    if let Err(e) = export_sweep(&options.out_dir, &space, &result) {
+    if let Err(e) = export_sweep(&options.out_dir, &space, &result, engine.threads()) {
         eprintln!("export failed: {e}");
         return ExitCode::FAILURE;
     }

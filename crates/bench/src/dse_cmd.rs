@@ -6,16 +6,24 @@
 //! ≥ 200 000 scenarios — through the `mp-dse` engine on all available cores,
 //! then reports the top designs, per-axis optima and the Pareto frontier of
 //! speedup against core count, and exports the full sweep as JSON and CSV.
+//! The two export files are written concurrently, one per worker, up to the
+//! `--threads` budget (`--threads 1` writes them in turn on the caller).
 //!
 //! The sweep runs twice: the second pass is answered entirely from the
 //! memoisation cache and must reproduce the first pass bit-for-bit, which the
 //! command verifies and reports. The cache is also persisted to the output
 //! directory, so a repeated *process* run warm-starts from disk and hits the
 //! cache immediately.
+//!
+//! `--trace PATH` records the whole command after argument parsing — cache
+//! load, both sweeps, analysis, export and cache save — under stable span
+//! names (`dse.analysis.top_k`, `dse.export.json`, `dse.cache.save`, …) and
+//! writes the chrome://tracing file last.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mp_dse::prelude::*;
 use mp_model::calibrate::{CalibratedParams, MeasuredRun};
@@ -23,6 +31,7 @@ use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
 use mp_model::perf::PerfModel;
 use mp_model::topology::Topology;
+use mp_obs::profile::{thread_lane, Profiler};
 use mp_profile::{render_table, TableRow};
 
 use crate::alloc_track;
@@ -268,20 +277,24 @@ pub fn run(args: &[String]) -> ExitCode {
     };
     let config = SweepConfig::default();
 
+    // Profiling is opt-in per run: spans cost an allocation each, so the
+    // recorder only arms when an export path was requested. It stays armed
+    // until the trace is written, so every stage below shows on the timeline.
+    let profiler = Profiler::global();
+    if options.trace.is_some() {
+        profiler.set_enabled(true);
+    }
+    let lane = thread_lane();
+
     // Warm-start from a persisted cache if a previous run left one.
     let cache_path = options.out_dir.join(format!("cache-{}.json", options.backend));
     let mut warm_entries = 0usize;
     if let Ok(json) = std::fs::read_to_string(&cache_path) {
+        let _span = profiler.span("dse.cache.load", "dse", lane);
         match engine.cache().load_json(&json) {
             Ok(loaded) => warm_entries = loaded,
             Err(e) => eprintln!("ignoring stale cache at {}: {e}", cache_path.display()),
         }
-    }
-
-    // Profiling is opt-in per run: spans cost an allocation each, so the
-    // recorder only arms when an export path was requested.
-    if options.trace.is_some() {
-        mp_obs::profile::Profiler::global().set_enabled(true);
     }
 
     let allocs_before_first = alloc_track::allocation_count();
@@ -299,14 +312,36 @@ pub fn run(args: &[String]) -> ExitCode {
         .zip(second.records.iter())
         .all(|(a, b)| a.index == b.index && a.speedup.to_bits() == b.speedup.to_bits());
 
-    let top = top_k(&first.records, options.top_k);
-    let optima = per_axis_optima(&space, &first.records);
-    let frontier = pareto_frontier(&first.records, CostAxis::Cores);
+    let top = {
+        let _span = profiler.span("dse.analysis.top_k", "dse", lane);
+        top_k(&first.records, options.top_k)
+    };
+    let optima = {
+        let _span = profiler.span("dse.analysis.optima", "dse", lane);
+        per_axis_optima(&space, &first.records)
+    };
+    let frontier = {
+        let _span = profiler.span("dse.analysis.pareto", "dse", lane);
+        pareto_frontier(&first.records, CostAxis::Cores)
+    };
+
+    if let Err(e) = export_sweep(&options.out_dir, &space, &first, engine.threads()) {
+        eprintln!("export failed: {e}");
+        return ExitCode::FAILURE;
+    }
+    let saved = {
+        let _span = profiler.span("dse.cache.save", "dse", lane);
+        std::fs::write(&cache_path, engine.cache().save_json())
+    };
+    if let Err(e) = saved {
+        eprintln!("cache persistence failed: {e}");
+        return ExitCode::FAILURE;
+    }
 
     if let Some(trace_path) = &options.trace {
-        // Both passes' spans (per-window batches, table builds, cached
-        // re-sweep) in one timeline, viewable at chrome://tracing or Perfetto.
-        let profiler = mp_obs::profile::Profiler::global();
+        // Every stage's spans (cache load, per-window batches, table builds,
+        // cached re-sweep, analysis, export, cache save) in one timeline,
+        // viewable at chrome://tracing or Perfetto.
         profiler.set_enabled(false);
         let spans = profiler.take();
         if let Some(parent) = trace_path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -322,15 +357,6 @@ pub fn run(args: &[String]) -> ExitCode {
         if !options.json {
             println!("  trace: {} spans exported to {}", spans.len(), trace_path.display());
         }
-    }
-
-    if let Err(e) = export_sweep(&options.out_dir, &space, &first) {
-        eprintln!("export failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&cache_path, engine.cache().save_json()) {
-        eprintln!("cache persistence failed: {e}");
-        return ExitCode::FAILURE;
     }
 
     let scenarios_per_second = first.stats.scenarios as f64 / first.stats.elapsed_seconds.max(1e-9);
@@ -457,20 +483,44 @@ fn simd_kernel_label() -> &'static str {
     }
 }
 
-/// Export a sweep to `dir/sweep.{json,csv}`.
+/// Export a sweep to `dir/sweep.{json,csv}`. The two files are a task list
+/// drained by `min(threads, 2)` scoped workers, the caller among them, so
+/// they are written concurrently — or, with one thread, in turn on the
+/// caller. Each file streams through its own buffered writer, so memory
+/// stays O(1) in the record count.
 pub fn export_sweep(
     dir: &Path,
     space: &ScenarioSpace,
     result: &SweepResult,
+    threads: usize,
 ) -> std::io::Result<()> {
+    type Writer = std::io::BufWriter<std::fs::File>;
+    type WriteFn<'a> = &'a (dyn Fn(&mut Writer) -> std::io::Result<()> + Sync);
     std::fs::create_dir_all(dir)?;
-    let mut json = std::io::BufWriter::new(std::fs::File::create(dir.join("sweep.json"))?);
-    write_json(&mut json, space, &result.records, &result.stats)?;
-    json.flush()?;
-    let mut csv = std::io::BufWriter::new(std::fs::File::create(dir.join("sweep.csv"))?);
-    write_csv(&mut csv, space, &result.records)?;
-    csv.flush()?;
-    Ok(())
+    // (file extension, trace lane, writer). Each file's span gets a lane of
+    // its own, clear of the per-thread lanes of the other spans.
+    let tasks: [(&str, u64, WriteFn<'_>); 2] = [
+        ("json", 1_000, &|out| write_json(out, space, &result.records, &result.stats)),
+        ("csv", 1_001, &|out| write_csv(out, space, &result.records)),
+    ];
+    let next = AtomicUsize::new(0);
+    let drain = || -> std::io::Result<()> {
+        while let Some(&(ext, lane, write)) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let _span = Profiler::global().span(&format!("dse.export.{ext}"), "dse", lane);
+            let path = dir.join(format!("sweep.{ext}"));
+            let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+            write(&mut out)?;
+            out.flush()?;
+        }
+        Ok(())
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> =
+            (1..threads.clamp(1, tasks.len())).map(|_| scope.spawn(drain)).collect();
+        helpers.into_iter().fold(drain(), |result, helper| {
+            result.and(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -494,6 +544,24 @@ mod tests {
         let result = engine.sweep(&space, &AnalyticBackend, &SweepConfig::default());
         // Every scenario of the quick grid fits its budget.
         assert_eq!(result.stats.valid, space.len());
+    }
+
+    #[test]
+    fn export_writes_the_same_bytes_on_any_thread_count() {
+        let space = experiment_space(true);
+        let result = Engine::new(1).sweep(&space, &AnalyticBackend, &SweepConfig::default());
+        let mut json = Vec::new();
+        write_json(&mut json, &space, &result.records, &result.stats).unwrap();
+        let mut csv = Vec::new();
+        write_csv(&mut csv, &space, &result.records).unwrap();
+        let root = std::env::temp_dir().join(format!("mp-dse-export-{}", std::process::id()));
+        for threads in [1, 2, 8] {
+            let dir = root.join(threads.to_string());
+            export_sweep(&dir, &space, &result, threads).unwrap();
+            assert!(std::fs::read(dir.join("sweep.json")).unwrap() == json, "threads={threads}");
+            assert!(std::fs::read(dir.join("sweep.csv")).unwrap() == csv, "threads={threads}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Result analysis: top-k designs, per-axis optima and Pareto frontiers.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EvalRecord;
@@ -34,17 +36,22 @@ impl CostAxis {
 
 /// The `k` highest-speedup records, best first (invalid records ignored;
 /// ties broken toward fewer cores, then lower scenario index for
-/// determinism).
+/// determinism). Only the `k` survivors of a linear-time selection are
+/// sorted, so a small `k` over a large sweep costs O(n).
 pub fn top_k(records: &[EvalRecord], k: usize) -> Vec<EvalRecord> {
-    let mut valid: Vec<EvalRecord> = records.iter().filter(|r| r.is_valid()).copied().collect();
-    valid.sort_by(|a, b| {
+    let rank = |a: &EvalRecord, b: &EvalRecord| {
         b.speedup
             .partial_cmp(&a.speedup)
             .expect("valid records are finite")
             .then(a.cores.partial_cmp(&b.cores).expect("cores are finite"))
             .then(a.index.cmp(&b.index))
-    });
-    valid.truncate(k);
+    };
+    let mut valid: Vec<EvalRecord> = records.iter().filter(|r| r.is_valid()).copied().collect();
+    if k < valid.len() {
+        valid.select_nth_unstable_by(k, rank);
+        valid.truncate(k);
+    }
+    valid.sort_by(rank);
     valid
 }
 
@@ -58,19 +65,35 @@ pub fn dominates(a: &EvalRecord, b: &EvalRecord, cost: CostAxis) -> bool {
 /// The Pareto frontier of the valid records on `(cost, speedup)`: the minimal
 /// set that dominates-or-equals every evaluated point, ordered by increasing
 /// cost (and therefore strictly increasing speedup).
+///
+/// Only the best record of each distinct cost can be on the frontier — the
+/// fastest, and among equally fast ones the lowest index, so duplicate
+/// `(cost, speedup)` pairs resolve deterministically. One pass keeps those,
+/// and only they are sorted: a sweep has far fewer distinct costs than
+/// records.
 pub fn pareto_frontier(records: &[EvalRecord], cost: CostAxis) -> Vec<EvalRecord> {
-    let mut valid: Vec<EvalRecord> = records.iter().filter(|r| r.is_valid()).copied().collect();
-    // Cheapest first; among equal costs the fastest first, then by index so
-    // duplicate (cost, speedup) pairs resolve deterministically.
-    valid.sort_by(|a, b| {
-        cost.cost(a)
-            .partial_cmp(&cost.cost(b))
-            .expect("costs are finite")
-            .then(b.speedup.partial_cmp(&a.speedup).expect("valid records are finite"))
-            .then(a.index.cmp(&b.index))
+    let mut best: HashMap<u64, EvalRecord> = HashMap::new();
+    for record in records.iter().filter(|r| r.is_valid()) {
+        let c = cost.cost(record);
+        // `-0.0` and `0.0` are one cost, as they compare.
+        let key = if c == 0.0 { 0.0f64 } else { c }.to_bits();
+        best.entry(key)
+            .and_modify(|current| {
+                if record.speedup > current.speedup
+                    || (record.speedup == current.speedup && record.index < current.index)
+                {
+                    *current = *record;
+                }
+            })
+            .or_insert(*record);
+    }
+    // The costs are distinct, so sorting by cost alone fixes the order.
+    let mut best: Vec<EvalRecord> = best.into_values().collect();
+    best.sort_unstable_by(|a, b| {
+        cost.cost(a).partial_cmp(&cost.cost(b)).expect("costs are finite")
     });
     let mut frontier: Vec<EvalRecord> = Vec::new();
-    for record in valid {
+    for record in best {
         match frontier.last() {
             Some(last) if record.speedup <= last.speedup => {}
             _ => frontier.push(record),

@@ -1,64 +1,187 @@
 //! Streaming JSON / CSV export of sweep results.
 //!
-//! Both writers stream record by record into any [`std::io::Write`] — no
-//! intermediate per-sweep string is built, so exporting a million-scenario
-//! sweep costs O(1) memory beyond the records themselves. The emitted field
-//! order and float formatting are deterministic, so byte-identical sweeps
-//! export byte-identical files.
+//! Every text field of a record except its index and its three measured
+//! numbers (`cores`, `area`, `speedup`) depends on one axis value of the
+//! scenario space alone. So each writer first formats those fields once per
+//! axis value into label tables. A record row is then its decoded axis
+//! indices, seven table slices, the index and three float formats, appended
+//! to one reusable row buffer that goes to the sink every 64 KiB. No text the
+//! size of the sweep is ever built: exporting a million-scenario sweep costs
+//! O(1) memory beyond the records themselves and one label per axis value.
+//! The emitted field order and float formatting are deterministic, so
+//! byte-identical sweeps export byte-identical files.
 
 use std::io::{self, Write};
 
 use crate::engine::{EvalRecord, SweepStats};
 use crate::scenario::{ChipSpec, ScenarioSpace};
 
-/// Formatting of one record's scenario axes, shared by both formats.
-struct RecordFields {
-    app: String,
-    budget: f64,
-    kind: &'static str,
-    r: f64,
-    rl: f64,
-    growth: String,
-    perf: String,
-    reduction: String,
-    topology: String,
+/// Row-buffer size at which a writer hands its rows to the sink.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// The two export formats. Both emit the same fields in the same order;
+/// they differ in the text around each field.
+#[derive(Clone, Copy)]
+enum Format {
+    Csv,
+    Json,
 }
 
-fn fields(space: &ScenarioSpace, record: &EvalRecord) -> RecordFields {
-    let scenario = space.scenario(record.index);
-    let (kind, r, rl) = match scenario.design {
-        ChipSpec::Symmetric { r } => ("symmetric", r, f64::NAN),
-        ChipSpec::Asymmetric { r, rl } => ("asymmetric", r, rl),
-    };
-    RecordFields {
-        app: scenario.app.name.clone(),
-        budget: scenario.budget.total_bce(),
-        kind,
-        r,
-        rl,
-        growth: scenario.growth.label(),
-        perf: scenario.perf.label(),
-        reduction: scenario.reduction.name().to_string(),
-        topology: format!("{:?}", scenario.topology),
+impl Format {
+    /// Text between two records.
+    fn separator(self) -> &'static [u8] {
+        match self {
+            Format::Csv => b"",
+            Format::Json => b",",
+        }
+    }
+
+    /// Text that opens a record, ahead of its index.
+    fn open(self) -> &'static [u8] {
+        match self {
+            Format::Csv => b"",
+            Format::Json => b"\n{\"index\":",
+        }
+    }
+
+    /// Text that closes a record.
+    fn close(self) -> &'static [u8] {
+        match self {
+            Format::Csv => b"\n",
+            Format::Json => b"}",
+        }
+    }
+
+    /// Start field `name` after an earlier one: a comma in CSV, `,"name":`
+    /// in JSON.
+    fn key(self, out: &mut Vec<u8>, name: &str) {
+        match self {
+            Format::Csv => out.push(b','),
+            Format::Json => {
+                out.extend_from_slice(b",\"");
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(b"\":");
+            }
+        }
+    }
+
+    /// Field `name` holding a fixed identifier, which never needs escaping.
+    fn ident(self, out: &mut Vec<u8>, name: &str, value: &str) {
+        self.key(out, name);
+        match self {
+            Format::Csv => out.extend_from_slice(value.as_bytes()),
+            Format::Json => {
+                out.push(b'"');
+                out.extend_from_slice(value.as_bytes());
+                out.push(b'"');
+            }
+        }
+    }
+
+    /// Field `name` holding a number: its shortest round-trip decimal, or an
+    /// empty cell (CSV) / `null` (JSON has no NaN) when it is not finite.
+    fn number(self, out: &mut Vec<u8>, name: &str, value: f64) {
+        self.key(out, name);
+        if value.is_finite() {
+            write!(out, "{value}").expect("writing to a Vec cannot fail");
+        } else if let Format::Json = self {
+            out.extend_from_slice(b"null");
+        }
+    }
+
+    /// Field `name` holding a free-form application name: RFC-4180 quoting
+    /// in CSV, a JSON string literal in JSON.
+    fn free_text(self, out: &mut Vec<u8>, name: &str, value: &str) {
+        self.key(out, name);
+        match self {
+            Format::Csv if value.contains(&[',', '"', '\n', '\r'][..]) => {
+                out.push(b'"');
+                out.extend_from_slice(value.replace('"', "\"\"").as_bytes());
+                out.push(b'"');
+            }
+            Format::Csv => out.extend_from_slice(value.as_bytes()),
+            Format::Json => out.extend_from_slice(
+                serde_json::to_string(value).expect("strings serialise").as_bytes(),
+            ),
+        }
     }
 }
 
-fn float(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        String::new()
+/// One format's text for every value of one axis, stored back to back.
+struct Labels {
+    text: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Labels {
+    fn new<T>(values: &[T], mut label: impl FnMut(&mut Vec<u8>, &T)) -> Labels {
+        let mut text = Vec::new();
+        let ends = values
+            .iter()
+            .map(|value| {
+                label(&mut text, value);
+                text.len()
+            })
+            .collect();
+        Labels { text, ends }
+    }
+
+    fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
     }
 }
 
-/// RFC-4180 quoting for free-form fields (application names are arbitrary
-/// user strings; the remaining string columns are fixed identifiers).
-fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Stream the records' rows in `format`, without header or trailer.
+fn write_rows<W: Write>(
+    out: &mut W,
+    space: &ScenarioSpace,
+    records: &[EvalRecord],
+    format: Format,
+) -> io::Result<()> {
+    let app = Labels::new(space.apps(), |row, app| format.free_text(row, "app", &app.name));
+    let budget = Labels::new(space.budgets(), |row, &bce| format.number(row, "budget_bce", bce));
+    let design = Labels::new(space.designs(), |row, design| {
+        let (kind, r, rl) = match *design {
+            ChipSpec::Symmetric { r } => ("symmetric", r, f64::NAN),
+            ChipSpec::Asymmetric { r, rl } => ("asymmetric", r, rl),
+        };
+        format.ident(row, "design", kind);
+        format.number(row, "r", r);
+        format.number(row, "rl", rl);
+    });
+    let growth = Labels::new(space.growths(), |row, g| format.ident(row, "growth", &g.label()));
+    let perf = Labels::new(space.perfs(), |row, p| format.ident(row, "perf", &p.label()));
+    let reduction =
+        Labels::new(space.reductions(), |row, r| format.ident(row, "reduction", r.name()));
+    let topology =
+        Labels::new(space.topologies(), |row, t| format.ident(row, "topology", &format!("{t:?}")));
+
+    let mut row = Vec::with_capacity(FLUSH_BYTES + 1024);
+    for (i, record) in records.iter().enumerate() {
+        let ix = space.decode(record.index);
+        if i > 0 {
+            row.extend_from_slice(format.separator());
+        }
+        row.extend_from_slice(format.open());
+        write!(row, "{}", record.index).expect("writing to a Vec cannot fail");
+        row.extend_from_slice(app.get(ix.app));
+        row.extend_from_slice(budget.get(ix.budget));
+        row.extend_from_slice(design.get(ix.design));
+        format.number(&mut row, "cores", record.cores);
+        format.number(&mut row, "area", record.area);
+        row.extend_from_slice(growth.get(ix.growth));
+        row.extend_from_slice(perf.get(ix.perf));
+        row.extend_from_slice(reduction.get(ix.reduction));
+        row.extend_from_slice(topology.get(ix.topology));
+        format.number(&mut row, "speedup", record.speedup);
+        row.extend_from_slice(format.close());
+        if row.len() >= FLUSH_BYTES {
+            out.write_all(&row)?;
+            row.clear();
+        }
     }
+    out.write_all(&row)
 }
 
 /// Stream the records as CSV (header + one row per record; invalid scenarios
@@ -72,27 +195,7 @@ pub fn write_csv<W: Write>(
         out,
         "index,app,budget_bce,design,r,rl,cores,area,growth,perf,reduction,topology,speedup"
     )?;
-    for record in records {
-        let f = fields(space, record);
-        writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            record.index,
-            csv_escape(&f.app),
-            float(f.budget),
-            f.kind,
-            float(f.r),
-            float(f.rl),
-            float(record.cores),
-            float(record.area),
-            f.growth,
-            f.perf,
-            f.reduction,
-            f.topology,
-            float(record.speedup),
-        )?;
-    }
-    Ok(())
+    write_rows(out, space, records, Format::Csv)
 }
 
 /// Stream the sweep as a JSON document: stats header plus a records array,
@@ -109,42 +212,8 @@ pub fn write_json<W: Write>(
         "{{\"stats\":{},\"records\":[",
         serde_json::to_string(stats).expect("stats always serialise")
     )?;
-    for (i, record) in records.iter().enumerate() {
-        let f = fields(space, record);
-        let speedup = if record.speedup.is_finite() {
-            format!("{}", record.speedup)
-        } else {
-            "null".to_string()
-        };
-        write!(
-            out,
-            "{}\n{{\"index\":{},\"app\":{},\"budget_bce\":{},\"design\":\"{}\",\"r\":{},\"rl\":{},\"cores\":{},\"area\":{},\"growth\":\"{}\",\"perf\":\"{}\",\"reduction\":\"{}\",\"topology\":\"{}\",\"speedup\":{}}}",
-            if i == 0 { "" } else { "," },
-            record.index,
-            serde_json::to_string(&f.app).expect("strings serialise"),
-            f.budget,
-            f.kind,
-            json_float(f.r),
-            json_float(f.rl),
-            json_float(record.cores),
-            json_float(record.area),
-            f.growth,
-            f.perf,
-            f.reduction,
-            f.topology,
-            speedup,
-        )?;
-    }
-    writeln!(out, "\n]}}")?;
-    Ok(())
-}
-
-fn json_float(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
+    write_rows(out, space, records, Format::Json)?;
+    writeln!(out, "\n]}}")
 }
 
 #[cfg(test)]
