@@ -12,13 +12,18 @@
 //! The sweep runs twice: the second pass is answered entirely from the
 //! memoisation cache and must reproduce the first pass bit-for-bit, which the
 //! command verifies and reports. The cache is also persisted to the output
-//! directory, so a repeated *process* run warm-starts from disk and hits the
-//! cache immediately.
+//! directory as a CRC-guarded binary segment (`cache-<backend>.seg`, see
+//! [`EvalCache::save_segment`]), so a repeated *process* run warm-starts from
+//! disk and hits the cache immediately. A torn, stale or foreign segment is
+//! refused whole with a warning and the run starts cold. Segments are sorted,
+//! so a warm run whose cache gained no entries would rewrite the same bytes:
+//! it skips the write.
 //!
 //! `--trace PATH` records the whole command after argument parsing — cache
-//! load, both sweeps, analysis, export and cache save — under stable span
-//! names (`dse.analysis.top_k`, `dse.export.json`, `dse.cache.save`, …) and
-//! writes the chrome://tracing file last.
+//! load, both sweeps, analysis, export and cache save (when there is one) —
+//! under stable span names (`dse.engine.batch`, `dse.analysis.top_k`,
+//! `dse.export.json`, `dse.cache.save`, …) and writes the chrome://tracing
+//! file last.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -287,11 +292,11 @@ pub fn run(args: &[String]) -> ExitCode {
     let lane = thread_lane();
 
     // Warm-start from a persisted cache if a previous run left one.
-    let cache_path = options.out_dir.join(format!("cache-{}.json", options.backend));
+    let cache_path = options.out_dir.join(format!("cache-{}.seg", options.backend));
     let mut warm_entries = 0usize;
-    if let Ok(json) = std::fs::read_to_string(&cache_path) {
+    if let Ok(bytes) = std::fs::read(&cache_path) {
         let _span = profiler.span("dse.cache.load", "dse", lane);
-        match engine.cache().load_json(&json) {
+        match engine.cache().load_segment(&bytes) {
             Ok(loaded) => warm_entries = loaded,
             Err(e) => eprintln!("ignoring stale cache at {}: {e}", cache_path.display()),
         }
@@ -329,13 +334,18 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("export failed: {e}");
         return ExitCode::FAILURE;
     }
-    let saved = {
-        let _span = profiler.span("dse.cache.save", "dse", lane);
-        std::fs::write(&cache_path, engine.cache().save_json())
-    };
-    if let Err(e) = saved {
-        eprintln!("cache persistence failed: {e}");
-        return ExitCode::FAILURE;
+    // A cache that gained no entries since the load would serialise to the
+    // very bytes already on disk (segments are sorted), so leave them be. A
+    // plain write is enough: the segment's CRC refuses a torn file.
+    if engine.cache().len() != warm_entries {
+        let saved = {
+            let _span = profiler.span("dse.cache.save", "dse", lane);
+            std::fs::write(&cache_path, engine.cache().save_segment())
+        };
+        if let Err(e) = saved {
+            eprintln!("cache persistence failed: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if let Some(trace_path) = &options.trace {

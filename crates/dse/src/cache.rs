@@ -31,16 +31,18 @@
 //! finish probing them safely; total retired memory is bounded by the final
 //! table size (geometric series).
 //!
-//! The cache serialises to JSON (hex-encoded keys and value bits) so a sweep
-//! can warm-start from a previous process — see [`EvalCache::save_json`] /
-//! [`EvalCache::load_json`] — and to a length-prefixed, CRC-guarded binary
-//! **segment** format ([`EvalCache::save_segment`] /
-//! [`EvalCache::load_segment`]) sized for the checkpoint spills of durable
-//! sweep jobs: a 214k-entry segment is ~5 MB and reloads in milliseconds
-//! where the JSON path re-parses hex strings. Both loaders validate the
-//! whole document before inserting anything and report a typed
-//! [`CacheLoadError`]; a corrupt or torn file degrades to a cold cache,
-//! never a panic or a half-populated table.
+//! The cache persists in one of two formats. The length-prefixed,
+//! CRC-guarded binary **segment** ([`EvalCache::save_segment`] /
+//! [`EvalCache::load_segment`]) is the one the program uses: `repro dse`
+//! warm-starts from `cache-<backend>.seg`, and durable sweep jobs spill
+//! their checkpoints in it. A 214k-entry segment is ~5 MB and saves or
+//! reloads in tens of milliseconds. The older JSON form
+//! ([`EvalCache::save_json`] / [`EvalCache::load_json`], hex-encoded keys and
+//! value bits) re-parses hex strings and costs several times that; it is
+//! kept for external tools and tests, and no command writes it any more.
+//! Both loaders validate the whole document before inserting anything and
+//! report a typed [`CacheLoadError`]; a corrupt or torn file degrades to a
+//! cold cache, never a panic or a half-populated table.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -675,6 +677,11 @@ impl EvalCache {
     /// Serialise every entry as JSON: a `[version, entries]` pair where the
     /// entries are `[key_hi, key_lo, value_bits]` hex-string triplets (hex so
     /// no `f64` precision is lost in transit).
+    ///
+    /// `repro dse` no longer persists this form: it writes the binary
+    /// [`EvalCache::save_segment`], which carries the same entries at a
+    /// fraction of the cost. The JSON form stays for external tools and
+    /// tests that read or compare it.
     pub fn save_json(&self) -> String {
         let mut entries: Vec<(String, String, String)> = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -690,6 +697,8 @@ impl EvalCache {
 
     /// Load entries previously produced by [`EvalCache::save_json`] into this
     /// cache (existing entries are kept; duplicates are overwritten).
+    /// `repro dse` reads [`EvalCache::load_segment`] instead and ignores any
+    /// leftover JSON cache file.
     ///
     /// # Errors
     /// Returns [`CacheLoadError::VersionMismatch`] when the file was
@@ -715,8 +724,9 @@ impl EvalCache {
     }
 
     /// Serialise every entry in the binary **segment** format: the compact,
-    /// checksummed form the durable-job checkpoints spill every K windows
-    /// (24 bytes per entry instead of ~60 of JSON hex, no parse on reload).
+    /// checksummed form `repro dse` persists its cache in and the durable-job
+    /// checkpoints spill every K windows (24 bytes per entry instead of ~60
+    /// of JSON hex, no parse on reload).
     ///
     /// Layout (all integers little-endian):
     ///
@@ -900,28 +910,59 @@ impl std::error::Error for CacheLoadError {}
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the guard under
 /// the binary cache segments and the durable-job checkpoint manifests.
+///
+/// Slicing-by-8: eight 256-entry tables, built at compile time, fold eight
+/// input bytes per step with eight independent lookups instead of a chain of
+/// eight dependent ones; the tail (under eight bytes) falls back to the
+/// bytewise loop over the first table.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    };
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][chunk[4] as usize]
+            ^ t[2][chunk[5] as usize]
+            ^ t[1][chunk[6] as usize]
+            ^ t[0][chunk[7] as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
+
+/// The slicing-by-8 tables of [`crc32`]: `[0]` is the classic bytewise
+/// table, and `[k][i]` advances `[k - 1][i]` by one more zero byte.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 /// Warm the cacheline of one slot ahead of a dependent probe. On x86-64 this
 /// is a dedicated `prefetcht0` (no load port, no dependency); elsewhere a
@@ -1241,6 +1282,36 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The reference bytewise CRC-32 the slicing-by-8 [`crc32`] replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Slicing-by-8 equals the bytewise oracle on random bytes of every
+        /// length 0..=4096, and on sub-slices that start and end off any
+        /// eight-byte alignment (the chunking must not depend on where the
+        /// slice sits in memory).
+        #[test]
+        fn crc32_matches_the_bytewise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..=4096),
+            skip in 0usize..16,
+            trim in 0usize..16,
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+            let end = bytes.len().saturating_sub(trim);
+            let sub = &bytes[skip.min(end)..end];
+            proptest::prop_assert_eq!(crc32(sub), crc32_bytewise(sub));
+        }
     }
 
     #[test]

@@ -458,9 +458,14 @@ pub fn space_fingerprint(space: &ScenarioSpace) -> u64 {
 /// into the metrics registry (and the profiler when one is recording).
 fn build_tables(space: &ScenarioSpace) -> SpaceTables {
     let profiler = Profiler::global();
-    let _span = profiler
-        .is_enabled()
-        .then(|| profiler.span(&format!("table_build ({})", space.len()), "engine", thread_lane()));
+    let _span = profiler.is_enabled().then(|| {
+        profiler.span_with(
+            "dse.engine.table_build",
+            space.len().to_string(),
+            "engine",
+            thread_lane(),
+        )
+    });
     let started = std::time::Instant::now();
     let tables = SpaceTables::new(space);
     obs_table_build_ms().record(started.elapsed().as_secs_f64() * 1e3);
@@ -706,7 +711,7 @@ fn process_batch(
     let len = range.len();
     let profiler = Profiler::global();
     let _span = profiler.is_enabled().then(|| {
-        profiler.span(&format!("batch {}..{}", range.start, range.end), "engine", thread_lane())
+        profiler.span_with("dse.engine.batch", format!("{range:?}"), "engine", thread_lane())
     });
     let batch_started = std::time::Instant::now();
     scratch.reset(len);

@@ -6,6 +6,11 @@
 //! off the per-scenario hot path (spans cover whole batches and windows).
 //! Load the exported file in `about:tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
+//!
+//! Span names are stable, dotted stage names (`dse.engine.batch`,
+//! `serve.window`, …), so a trace aggregates by name. What differs between
+//! two spans of one stage (a scenario range, a job id) travels in the span's
+//! [`Span::detail`] and is exported under the event's `args`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -15,8 +20,12 @@ use crate::monotonic_ns;
 /// One completed span on the profiler timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// What the span covers (`"batch"`, `"window"`, `"table_build"`, …).
+    /// The stage the span covers (`"dse.engine.batch"`, `"serve.window"`,
+    /// …): stable across spans of one stage.
     pub name: String,
+    /// What sets this span apart from the others of its stage (a scenario
+    /// range, a job id); empty when nothing does.
+    pub detail: String,
     /// Coarse grouping shown as the chrome trace category
     /// (`"engine"`, `"serve"`).
     pub category: &'static str,
@@ -33,6 +42,7 @@ pub struct Span {
 pub struct SpanGuard<'a> {
     profiler: &'a Profiler,
     name: String,
+    detail: String,
     category: &'static str,
     lane: u64,
     start_ns: u64,
@@ -44,6 +54,7 @@ impl Drop for SpanGuard<'_> {
         if self.armed {
             self.profiler.record(Span {
                 name: std::mem::take(&mut self.name),
+                detail: std::mem::take(&mut self.detail),
                 category: self.category,
                 lane: self.lane,
                 start_ns: self.start_ns,
@@ -87,10 +98,24 @@ impl Profiler {
     /// Open a span; it records itself when the guard drops. When the
     /// profiler is disabled this is one atomic load and no allocation.
     pub fn span(&self, name: &str, category: &'static str, lane: u64) -> SpanGuard<'_> {
+        self.span_with(name, String::new(), category, lane)
+    }
+
+    /// [`Profiler::span`] with a [`Span::detail`]. Callers on hot paths
+    /// check [`Profiler::is_enabled`] first, so the detail is only
+    /// formatted while recording.
+    pub fn span_with(
+        &self,
+        name: &str,
+        detail: String,
+        category: &'static str,
+        lane: u64,
+    ) -> SpanGuard<'_> {
         let armed = self.is_enabled();
         SpanGuard {
             profiler: self,
             name: if armed { name.to_string() } else { String::new() },
+            detail,
             category,
             lane,
             start_ns: if armed { monotonic_ns() } else { 0 },
@@ -134,7 +159,8 @@ pub fn thread_lane() -> u64 {
 }
 
 /// Render spans as a chrome://tracing JSON document (complete `"X"` events;
-/// timestamps and durations in microseconds, lanes as thread ids).
+/// timestamps and durations in microseconds, lanes as thread ids). A span
+/// with a [`Span::detail`] carries it as `"args":{"detail":…}`.
 pub fn chrome_trace_json(spans: &[Span]) -> String {
     fn escape(s: &str) -> String {
         s.chars()
@@ -149,13 +175,19 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
     let events: Vec<String> = spans
         .iter()
         .map(|span| {
+            let args = if span.detail.is_empty() {
+                String::new()
+            } else {
+                format!(",\"args\":{{\"detail\":\"{}\"}}", escape(&span.detail))
+            };
             format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}{}}}",
                 escape(&span.name),
                 span.category,
                 span.lane,
                 span.start_ns as f64 / 1e3,
                 span.duration_ns as f64 / 1e3,
+                args,
             )
         })
         .collect();
@@ -171,9 +203,11 @@ mod tests {
         let profiler = Profiler::new();
         {
             let _span = profiler.span("batch", "engine", 0);
+            let _detailed = profiler.span_with("window", "0..64".into(), "serve", 0);
         }
         profiler.record(Span {
             name: "direct".into(),
+            detail: String::new(),
             category: "engine",
             lane: 1,
             start_ns: 0,
@@ -203,6 +237,7 @@ mod tests {
         let spans = vec![
             Span {
                 name: "batch \"0\"".into(),
+                detail: String::new(),
                 category: "engine",
                 lane: 0,
                 start_ns: 1_500,
@@ -210,6 +245,7 @@ mod tests {
             },
             Span {
                 name: "window".into(),
+                detail: String::new(),
                 category: "serve",
                 lane: 7,
                 start_ns: 4_000,
@@ -222,5 +258,33 @@ mod tests {
         assert!(json.contains("\"tid\":7"));
         assert!(json.contains("batch \\\"0\\\""));
         assert_eq!(json.matches("\"name\"").count(), 2);
+        assert!(!json.contains("\"args\""), "spans without a detail carry no args");
+    }
+
+    #[test]
+    fn details_travel_as_args_and_leave_names_stable() {
+        let profiler = Profiler::new();
+        profiler.set_enabled(true);
+        for range in ["0..1024", "1024..2048"] {
+            let _span = profiler.span_with("dse.engine.batch", range.to_string(), "engine", 3);
+        }
+        {
+            let _span = profiler.span_with("serve.jobs.checkpoint", "j\"7\"".into(), "serve", 0);
+        }
+        let spans = profiler.take();
+        assert_eq!(spans.len(), 3);
+        assert!(spans[..2].iter().all(|s| s.name == "dse.engine.batch"));
+        assert_eq!(spans[1].detail, "1024..2048");
+
+        let json = chrome_trace_json(&spans);
+        assert!(json.contains(
+            "\"name\":\"dse.engine.batch\",\"cat\":\"engine\",\"ph\":\"X\",\"pid\":1,\"tid\":3,"
+        ));
+        assert!(json.contains(",\"args\":{\"detail\":\"0..1024\"}}"), "{json}");
+        assert!(json.contains(",\"args\":{\"detail\":\"1024..2048\"}}"), "{json}");
+        // Details are escaped like names.
+        assert!(json.contains("\"args\":{\"detail\":\"j\\\"7\\\"\"}"), "{json}");
+        assert_eq!(json.matches("\"args\"").count(), 3);
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

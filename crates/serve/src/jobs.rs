@@ -794,9 +794,9 @@ impl JobManager {
     fn checkpoint(&self, job: &Arc<Job>) {
         let started = Instant::now();
         let profiler = Profiler::global();
-        let _span = profiler
-            .is_enabled()
-            .then(|| profiler.span(&format!("checkpoint {}", job.id), "checkpoint", thread_lane()));
+        let _span = profiler.is_enabled().then(|| {
+            profiler.span_with("serve.jobs.checkpoint", job.id.clone(), "checkpoint", thread_lane())
+        });
         if let Some(dir) = &self.dir {
             if let Err(e) = self.service.save_cache_segments(dir) {
                 mp_obs::warn("jobs", &format!("cache spill to {} failed: {e}", dir.display()));

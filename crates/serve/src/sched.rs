@@ -398,8 +398,9 @@ fn execute(me: usize, inner: &SchedInner, unit: WorkUnit) {
     crate::service::obs_queue_wait_ms().record(waited_ns as f64 / 1e6);
     let profiler = Profiler::global();
     let _span = profiler.is_enabled().then(|| {
-        profiler.span(
-            &format!("unit {}..{} home {}", unit.range.start, unit.range.end, unit.home),
+        profiler.span_with(
+            "serve.sched.unit",
+            format!("{:?} home {}", unit.range, unit.home),
             "serve",
             me as u64,
         )

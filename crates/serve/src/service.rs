@@ -994,11 +994,7 @@ impl SweepService {
         };
         let profiler = Profiler::global();
         let _span = profiler.is_enabled().then(|| {
-            profiler.span(
-                &format!("window {}..{}", window.start, window.end),
-                "serve",
-                thread_lane(),
-            )
+            profiler.span_with("serve.window", format!("{window:?}"), "serve", thread_lane())
         });
         let result = self.sweep_prepared(&ticket.handle, window)?;
         ticket.stats.scenarios += result.stats.scenarios;

@@ -2,36 +2,55 @@
 //! setup, the analytic batched evaluation performs **zero** heap allocations
 //! per scenario. A counting global allocator (installed for this test binary
 //! only) measures exact allocation counts around the hot loops.
+//!
+//! Counts are kept **per thread**: every counting window below runs on the
+//! test's own thread (the cache calls, the prepared batches and the
+//! single-threaded `Engine::new(1)`, which evaluates inline without a pool),
+//! so a window sees only its own allocations. Allocations the test harness
+//! makes on its other threads cannot land in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
 
 use mp_dse::prelude::*;
 use mp_model::growth::GrowthFunction;
 use mp_model::params::AppParams;
 use mp_model::perf::PerfModel;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised and
+    /// without a destructor, so touching it from the allocator never
+    /// allocates or registers anything itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The counter above is process-global, but the harness runs tests on
-/// parallel threads — one test's (legitimate, setup-time) allocations would
-/// race into another's counting window. Serialise the windows.
-static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Serialises the counting windows. The counts are per thread, but
+/// `lane_and_forced_scalar_paths_both_allocate_nothing` flips the
+/// process-wide forced-scalar switch, which must not leak into a sibling's
+/// window. A test that fails inside its window poisons the mutex; the
+/// siblings still take it, so one failure reports as one failure.
+static WINDOW: Mutex<()> = Mutex::new(());
 
 struct Counting;
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread itself is torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: delegates to `System`; counting does not affect behaviour.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -42,8 +61,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn space() -> ScenarioSpace {
@@ -63,7 +83,7 @@ fn space() -> ScenarioSpace {
 
 #[test]
 fn analytic_batched_path_allocates_nothing_per_scenario() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -94,7 +114,7 @@ fn analytic_batched_path_allocates_nothing_per_scenario() {
 
 #[test]
 fn cache_probe_and_insert_allocate_nothing_after_reserve() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -117,7 +137,7 @@ fn cache_probe_and_insert_allocate_nothing_after_reserve() {
 
 #[test]
 fn lane_and_forced_scalar_paths_both_allocate_nothing() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -148,7 +168,7 @@ fn lane_and_forced_scalar_paths_both_allocate_nothing() {
 
 #[test]
 fn batched_cache_probe_allocates_nothing_after_reserve() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let space = space();
     let tables = SpaceTables::new(&space);
     let n = space.len();
@@ -174,7 +194,7 @@ fn batched_cache_probe_allocates_nothing_after_reserve() {
 
 #[test]
 fn full_engine_sweep_allocations_do_not_scale_with_scenario_count() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     // The engine may allocate during setup (records vector, tables, scratch)
     // but per-scenario allocation must be zero: growing the space 16× must
     // not grow the allocation count beyond the setup's own (bounded) needs.
@@ -194,6 +214,8 @@ fn full_engine_sweep_allocations_do_not_scale_with_scenario_count() {
             PerfModel::Linear,
         ]);
     assert_eq!(large.len(), 16 * small.len());
+    // One thread: the engine evaluates inline on this thread, with no pool,
+    // so the per-thread count sees the whole sweep.
     let engine = Engine::new(1);
     let config = SweepConfig { batch_size: 64, use_cache: false };
 
